@@ -225,10 +225,12 @@ type dirtySet struct {
 // goroutine at a time, but the reader accessors — Firings, ItemAsOf,
 // Rule, RuleNames, EvalSteps, Executions, Now, DB, BaseIndex — are safe
 // to call from any goroutine concurrently with that mutator. Internally
-// the temporal component shards rule evaluation across Config.Workers
-// goroutines; firings and constraint violations are merged back in rule
-// registration order, so observable behavior is independent of the
-// worker count (see DESIGN.md, "Concurrency model").
+// the temporal component shards rule evaluation across at most
+// Config.Workers goroutines — the mutating goroutine itself plus parked
+// helpers reused from commit to commit, so dispatch allocates nothing per
+// commit (dispatch.go); firings and constraint violations are merged back
+// in rule registration order, so observable behavior is independent of
+// the worker count (see DESIGN.md, "Concurrency model").
 type Engine struct {
 	// mu guards the observable shared state: history length, database,
 	// clock, firings, the step counter, the execution log and the rule
@@ -259,8 +261,10 @@ type Engine struct {
 	cascade   int
 	cascadeTo int
 
-	// workers bounds the pool evaluating independent rules concurrently.
+	// workers bounds the goroutines evaluating independent rules
+	// concurrently; disp is the reusable fan-out they share (dispatch.go).
 	workers int
+	disp    dispatch
 
 	// base is the absolute index of hist's first state; Compact advances
 	// it as fully-processed prefix states are discarded.
@@ -358,11 +362,13 @@ type Config struct {
 	// it. Persisted in the init record: the setting shapes the evaluation
 	// step sequence, which recovery verification compares.
 	DisableReadSetIndex bool
-	// Workers bounds the worker pool the temporal component uses to
+	// Workers bounds how many goroutines the temporal component uses to
 	// evaluate independent rules concurrently during sweeps, flushes and
-	// constraint checks. 0 means GOMAXPROCS; 1 forces fully sequential
-	// evaluation. Firings, violations and errors are merged in rule
-	// registration order, so results do not depend on this setting.
+	// constraint checks: the mutating goroutine plus up to Workers-1
+	// parked helpers, started once and reused by every evaluation. 0 means
+	// GOMAXPROCS; 1 forces fully sequential evaluation. Firings,
+	// violations and errors are merged in rule registration order, so
+	// results do not depend on this setting.
 	Workers int
 	// Durability selects the persistence mode. NewEngine only accepts
 	// DurabilityOff; durable engines are opened with Restore, which reads
@@ -452,6 +458,8 @@ func NewEngine(cfg Config) *Engine {
 		actionTimeout: cfg.ActionTimeout,
 		onRuleFault:   cfg.OnRuleFault,
 	}
+	e.disp.e = e
+	ensureHelpers(workers - 1)
 	if len(cfg.TrackItems) > 0 {
 		e.tracked = make(map[string]*relation.ScalarAux, len(cfg.TrackItems))
 		for _, name := range cfg.TrackItems {
@@ -1132,8 +1140,9 @@ func (t *Txn) Commit(ts int64) error {
 // returns the first violated constraint in rule registration order (nil
 // when the commit may proceed). With one worker it short-circuits at the
 // first violation exactly like the historical sequential loop; with more,
-// all constraints are evaluated concurrently and the winner is still
-// chosen by rule order, so which transaction aborts — and with which
+// all constraints are caught up and clone-stepped concurrently on the
+// engine's dispatch (the same reused fan-out as runJobs) and the winner is
+// still chosen by rule order, so which transaction aborts — and with which
 // constraint name — never depends on goroutine scheduling.
 func (e *Engine) checkConstraints(tentative history.SystemState) (*rule, error) {
 	var constraints []*rule
@@ -1169,28 +1178,12 @@ func (e *Engine) checkConstraints(tentative history.SystemState) (*rule, error) 
 	if err := e.advanceRules(constraints, end); err != nil {
 		return nil, err
 	}
-	type verdict struct {
-		fired bool
-		err   error
-	}
-	verdicts := make([]verdict, len(constraints))
-	var next int64 = -1
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= len(constraints) {
-					return
-				}
-				res, err := constraints[i].ev.CloneEvaluator().StepResult(tentative)
-				verdicts[i] = verdict{fired: res.Fired, err: err}
-			}
-		}()
-	}
-	wg.Wait()
+	d := &e.disp
+	d.tentative, d.cons = tentative, constraints
+	d.verdicts = append(d.verdicts[:0], make([]verdict, len(constraints))...)
+	d.run(len(constraints), workers, stepConstraint)
+	verdicts := d.verdicts
+	d.tentative, d.cons = history.SystemState{}, nil
 	e.addSteps(int64(len(constraints)))
 	for i, r := range constraints {
 		if verdicts[i].err != nil {
@@ -1721,11 +1714,12 @@ func (e *Engine) apply(r *rule, out advanceOutcome) {
 }
 
 // advanceRules advances the given rules to history index end — the
-// parallel temporal component. Rules are dealt to at most Workers
-// goroutines; outcomes are merged strictly in the order rules appear in
-// the slice (registration order at every call site), so the firing
-// sequence, callbacks and step counts are byte-identical to sequential
-// evaluation regardless of worker count.
+// parallel temporal component. Rules are evaluated by at most Workers
+// goroutines (the caller and parked helpers, see dispatch); outcomes are
+// merged strictly in the order rules appear in the slice (registration
+// order at every call site), so the firing sequence, callbacks and step
+// counts are byte-identical to sequential evaluation regardless of worker
+// count.
 //
 // Errors also surface first-by-rule-order, and a failed invocation still
 // advances every rule and merges every outcome: the engine state a
@@ -1743,49 +1737,29 @@ func (e *Engine) advanceRules(rules []*rule, end int) error {
 	return e.runJobs(jobs, end)
 }
 
-// runJobs executes a sweep's job list: evaluation jobs are dealt to the
-// worker pool, replay jobs are resolved inline (they are pure memo reads),
-// and every outcome is merged strictly in job order — the registration
-// order at every call site — so the firing sequence is independent of both
-// the worker count and the eval/replay split.
+// runJobs executes a sweep's job list: evaluation jobs are spread over the
+// engine's dispatch, replay jobs are resolved inline (they are pure memo
+// reads), and every outcome is merged strictly in job order — the
+// registration order at every call site — so the firing sequence is
+// independent of both the worker count and the eval/replay split. The
+// index and outcome slices are the dispatch's reused scratch.
 func (e *Engine) runJobs(jobs []sweepJob, end int) error {
 	if len(jobs) == 0 {
 		return nil
 	}
-	evalIdx := make([]int, 0, len(jobs))
+	d := &e.disp
+	evalIdx := d.idx[:0]
 	for i, j := range jobs {
 		if !j.replay {
 			evalIdx = append(evalIdx, i)
 		}
 	}
-	outs := make([]advanceOutcome, len(jobs))
-	workers := e.workers
-	if workers > len(evalIdx) {
-		workers = len(evalIdx)
-	}
-	if workers <= 1 {
-		for _, i := range evalIdx {
-			outs[i] = e.advanceRule(jobs[i].r, end)
-		}
-	} else {
-		var next int64 = -1
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					k := int(atomic.AddInt64(&next, 1))
-					if k >= len(evalIdx) {
-						return
-					}
-					i := evalIdx[k]
-					outs[i] = e.advanceRule(jobs[i].r, end)
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	outs := append(d.outs[:0], make([]advanceOutcome, len(jobs))...)
+	d.end, d.jobs, d.idx, d.outs = end, jobs, evalIdx, outs
+	d.run(len(evalIdx), e.workers, advanceJob)
+	// The merge runs firing callbacks; should one re-enter the engine, its
+	// sweep takes fresh scratch rather than this sweep's outcomes.
+	d.jobs, d.idx, d.outs = nil, nil, nil
 	for i, j := range jobs {
 		if j.replay {
 			outs[i] = e.replayOutcome(j.r, end)
@@ -1807,6 +1781,8 @@ func (e *Engine) runJobs(jobs []sweepJob, end int) error {
 			firstErr = &BudgetError{Rule: j.r.name, Steps: used, Budget: budget}
 		}
 	}
+	clear(outs)
+	d.idx, d.outs = evalIdx[:0], outs[:0]
 	return firstErr
 }
 

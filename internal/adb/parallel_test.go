@@ -240,6 +240,31 @@ func TestParallelFiringEquivalence(t *testing.T) {
 	}
 }
 
+// TestParallelEnginesShareHelpers drives several engines at once, each
+// asking for more workers than the machine has cores, so their evaluation
+// phases contend for the process-wide parked helpers (dispatch.go). A
+// phase whose helpers are busy elsewhere runs on its own goroutine; every
+// engine must still match its sequential twin.
+func TestParallelEnginesShareHelpers(t *testing.T) {
+	const rules, states = 7, 120
+	for i := 0; i < 4; i++ {
+		seed := int64(2000 + i)
+		t.Run(fmt.Sprint(seed), func(t *testing.T) {
+			t.Parallel()
+			seq := buildRandomEngine(t, seed, rules, 1, true)
+			par := buildRandomEngine(t, seed, rules, 8, true)
+			driveRandomHistory(t, seq, seed*31, rules, states)
+			driveRandomHistory(t, par, seed*31, rules, states)
+			if sf, pf := seq.Firings(), par.Firings(); !reflect.DeepEqual(sf, pf) {
+				t.Fatalf("firing sequences diverge:\n  sequential (%d): %v\n  parallel   (%d): %v", len(sf), sf, len(pf), pf)
+			}
+			if !seq.DB().Equal(par.DB()) {
+				t.Fatalf("final databases diverge: %v vs %v", seq.DB(), par.DB())
+			}
+		})
+	}
+}
+
 // TestParallelConstraintAbortOrder checks that when several constraints
 // reject the same commit, the reported violation is the first one in rule
 // registration order — not whichever worker finished first.
